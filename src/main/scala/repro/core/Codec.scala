@@ -1,22 +1,45 @@
 package repro.core
 
-/** A compressed representation of a `Long` column chunk.
+import repro.core.baseline._
+import repro.lecoformat.ScanPredicate
+
+/** A compressed representation of a `Long` column chunk — the one chunk type
+  * shared by the microbenchmarks and the `leco` file format.
   *
   * `sizeBytes` is the accounting size used for compression ratios: the bytes
   * a serialized blob of this representation needs (headers + metadata +
-  * packed payload). `get` is point random access; `decompressAll` is the
+  * packed payload). `get` is point random access; `decodeAll` is the
   * sequential full-decode path used by scans.
   */
 trait CompressedInts {
   def length: Int
   def sizeBytes: Long
   def get(i: Int): Long
-  def decompressAll(): Array[Long]
+  def decodeAll(): Array[Long]
 
   /** Bytes spent on models/headers (vs. the delta payload) — the Fig 10
     * compression-ratio breakdown. 0 where the split is not meaningful.
     */
   def modelBytes: Long = 0L
+
+  /** Values at `positions` by random access (late materialization). */
+  def gather(positions: Array[Int]): Array[Long] = {
+    val out = new Array[Long](positions.length)
+    var i = 0
+    while (i < positions.length) { out(i) = get(positions(i)); i += 1 }
+    out
+  }
+
+  /** Ascending positions matching `pred`, with whatever pruning the
+    * encoding supports; default = decode everything and test.
+    */
+  def scan(pred: ScanPredicate): Array[Int] = {
+    val vals = decodeAll()
+    val out = new scala.collection.mutable.ArrayBuffer[Int]()
+    var i = 0
+    while (i < vals.length) { if (pred.test(vals(i))) out += i; i += 1 }
+    out.toArray
+  }
 }
 
 /** An integer compression scheme (one of the seven evaluated in §4). */
@@ -42,4 +65,22 @@ object Codec {
   val LinearHeaderBytes: Int = 8 + 8 + 1 + 4
   /** Header cost of a FOR / Delta partition: 8B reference + width + length. */
   val SimpleHeaderBytes: Int = 8 + 1 + 4
+}
+
+/** The codec registry: the §4 integer schemes by name, at the settings the
+  * benches use (partition size searched, τ = 0.1). Callers ship the name
+  * into Spark closures instead of a codec.
+  */
+object Codecs {
+  /** `rawBytesPerValue` is the declared value width rANS codes bytes of. */
+  def byName(name: String, rawBytesPerValue: Int = 8): IntCodec = name match {
+    case "FOR"        => new ForCodec(0)
+    case "Elias-Fano" => new EliasFanoCodec(0)
+    case "Delta-fix"  => new DeltaFixCodec(0)
+    case "Delta-var"  => new DeltaVarCodec(0.1)
+    case "LeCo-fix"   => new LecoFixCodec(0)
+    case "LeCo-var"   => new LecoVarCodec(0.1)
+    case "rANS"       => new RansCodec(rawBytesPerValue)
+    case other        => throw new IllegalArgumentException(s"unknown codec $other")
+  }
 }

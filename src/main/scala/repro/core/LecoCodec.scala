@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable.ArrayBuffer
+import repro.lecoformat.{ScanPredicate, TimeOfDayPredicate}
 
 /** One encoded LeCo partition: linear model + fixed-width biased deltas +
   * the θ1-accumulation error-correction list (§3.3).
@@ -72,7 +73,7 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, (s, l) => LecoFixCodec.costAt(s, l))
     val n = values.length
-    val parts = new Array[LecoPartition](((n + size - 1) / size).max(1))
+    val parts = new Array[LecoPartition]((n + size - 1) / size)
     var p = 0
     var s = 0
     while (s < n) { parts(p) = LecoPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
@@ -101,12 +102,50 @@ final class LecoFixCompressed(val n: Int, val partSize: Int,
   def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
   override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
   def get(i: Int): Long = { val p = parts(i / partSize); p.get(i % partSize) }
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var off = 0
     var k = 0
     while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
     out
+  }
+
+  /** Partition-header skipping plus LeCo's in-partition computation pruning
+    * (§5.1.1): model prediction is a lower bound of the value (deltas are
+    * biased non-negative), so with θ1 > 0 the scanner jumps over position
+    * ranges whose value interval provably misses the predicate window.
+    */
+  override def scan(pred: ScanPredicate): Array[Int] = {
+    val out = new ArrayBuffer[Int]()
+    var p = 0
+    while (p < parts.length) {
+      val part = parts(p)
+      val s = p * partSize
+      val maxDelta = if (part.width >= 63) Long.MaxValue / 2 else (1L << part.width) - 1
+      val pLo = math.min(part.predict(0), part.predict(part.len - 1))
+      val pHi = math.max(part.predict(0), part.predict(part.len - 1)) + maxDelta
+      if (pred.mayMatch(pLo, pHi)) {
+        val jumpable = part.theta1 > 0
+        var j = 0
+        while (j < part.len) {
+          val lo = part.predict(j)
+          pred match {
+            case t: TimeOfDayPredicate if jumpable && t.nextMatch(lo) > lo + maxDelta =>
+              // no value at or after j can match before the next window:
+              // values at positions j..k-1 all lie in [lo, nextMatch).
+              val target = t.nextMatch(lo) - maxDelta
+              val skip = math.max(1L, ((target - part.theta0) / part.theta1).toLong - j)
+              j += math.min(skip, (part.len - j).toLong).toInt
+            case _ =>
+              // value = lo + delta: reuse the bound instead of a second predict
+              if (pred.test(lo + BitPack.read(part.words, j, part.width))) out += s + j
+              j += 1
+          }
+        }
+      }
+      p += 1
+    }
+    out.toArray
   }
 }
 
@@ -145,7 +184,7 @@ final class LecoVarCompressed(val n: Int, val starts: Array[Int],
 
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
 
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var k = 0
     while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }

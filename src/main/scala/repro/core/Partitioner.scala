@@ -66,7 +66,6 @@ object Partitioner {
     */
   def variable(values: Array[Long], mode: Mode, tau: Double): Partitions = {
     val n = values.length
-    require(n > 0, "empty input")
     val sm        = mode.modelBits
     val threshold = tau * sm
     val starts = ArrayBuffer[Int]()

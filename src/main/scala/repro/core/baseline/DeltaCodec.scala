@@ -56,7 +56,7 @@ final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, DeltaFixCodec.costAt)
     val n = values.length
-    val parts = new Array[DeltaPartition](((n + size - 1) / size).max(1))
+    val parts = new Array[DeltaPartition]((n + size - 1) / size)
     var p = 0; var s = 0
     while (s < n) { parts(p) = DeltaPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
     new DeltaFixCompressed(n, size, parts)
@@ -82,7 +82,7 @@ final class DeltaFixCompressed(val n: Int, val partSize: Int,
   def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
   override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var off = 0; var k = 0
     while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
@@ -119,7 +119,7 @@ final class DeltaVarCompressed(val n: Int, val starts: Array[Int],
     lo
   }
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var k = 0
     while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }

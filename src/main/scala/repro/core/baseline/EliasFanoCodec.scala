@@ -19,7 +19,7 @@ final class EliasFanoCodec(val partitionSize: Int = 0) extends IntCodec {
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, EliasFanoCodec.costAt)
     val n = values.length
-    val parts = new Array[EfPartition](((n + size - 1) / size).max(1))
+    val parts = new Array[EfPartition]((n + size - 1) / size)
     var p = 0; var s = 0
     while (s < n) { parts(p) = EfPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
     new EliasFanoCompressed(n, size, parts)
@@ -135,7 +135,7 @@ final class EliasFanoCompressed(val n: Int, val partSize: Int,
   def length: Int = n
   def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var off = 0; var k = 0
     while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }

@@ -1,6 +1,7 @@
 package repro.core.baseline
 
 import repro.core._
+import repro.lecoformat.ScanPredicate
 
 /** Frame-of-Reference (FOR): each fixed-length frame stores its minimum plus
   * bit-packed non-negative offsets. Under LeCo this is the constant-model
@@ -15,7 +16,7 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, ForCodec.costAt)
     val n       = values.length
-    val nParts  = ((n + size - 1) / size).max(1)
+    val nParts  = (n + size - 1) / size
     val mins    = new Array[Long](nParts)
     val widths  = new Array[Int](nParts)
     val words   = new Array[Array[Long]](nParts)
@@ -67,7 +68,7 @@ final class ForCompressed(val n: Int, val partSize: Int, val mins: Array[Long],
     val p = i / partSize
     mins(p) + BitPack.read(words(p), i % partSize, widths(p))
   }
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var i = 0
     while (i < n) {
@@ -78,5 +79,24 @@ final class ForCompressed(val n: Int, val partSize: Int, val mins: Array[Long],
       i = e
     }
     out
+  }
+
+  /** Partition-header skipping: a frame's values lie in [min, min + 2^w). */
+  override def scan(pred: ScanPredicate): Array[Int] = {
+    val out = new scala.collection.mutable.ArrayBuffer[Int]()
+    var p = 0
+    while (p < mins.length) {
+      val s = p * partSize
+      val e = math.min(s + partSize, n)
+      val lo = mins(p)
+      val hi = lo + (if (widths(p) >= 63) Long.MaxValue - lo else (1L << widths(p)) - 1)
+      if (pred.mayMatch(lo, hi)) {
+        val w = words(p); val b = widths(p)
+        var j = s
+        while (j < e) { if (pred.test(lo + BitPack.read(w, j - s, b))) out += j; j += 1 }
+      }
+      p += 1
+    }
+    out.toArray
   }
 }

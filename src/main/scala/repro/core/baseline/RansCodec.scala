@@ -26,7 +26,7 @@ final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) 
     i = 0
     while (i < 256) { cum(i + 1) = cum(i) + freq(i); i += 1 }
 
-    val blocks = new Array[Array[Byte]](math.max(1, (n + blockValues - 1) / blockValues))
+    val blocks = new Array[Array[Byte]]((n + blockValues - 1) / blockValues)
     var blk = 0
     var s   = 0
     while (s < n) {
@@ -151,7 +151,7 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
     tmp(inBlk)
   }
 
-  def decompressAll(): Array[Long] = {
+  def decodeAll(): Array[Long] = {
     val out = new Array[Long](n)
     var blk = 0; var off = 0
     while (blk < blocks.length) {
@@ -172,6 +172,6 @@ final class PlainCodec(val bytesPerValue: Int = 8) extends IntCodec {
     def length: Int = values.length
     def sizeBytes: Long = values.length.toLong * bytesPerValue
     def get(i: Int): Long = values(i)
-    def decompressAll(): Array[Long] = values.clone()
+    def decodeAll(): Array[Long] = values.clone()
   }
 }

@@ -1,7 +1,6 @@
 package repro.experiments
 
 import repro.core._
-import repro.core.baseline._
 import repro.data.{Datasets, IntDataset}
 
 /** The §4.3 integer microbenchmark (Fig 10 rows 1–3) and Table 1
@@ -17,16 +16,6 @@ object MicroBench {
   val SchemeNames: Seq[String] =
     Seq("FOR", "Elias-Fano", "Delta-fix", "Delta-var", "LeCo-fix", "LeCo-var", "rANS")
 
-  def codecFor(scheme: String, ds: IntDataset): Option[IntCodec] = scheme match {
-    case "FOR"        => Some(new ForCodec(0))
-    case "Elias-Fano" => if (ds.fullySorted) Some(new EliasFanoCodec(0)) else None
-    case "Delta-fix"  => Some(new DeltaFixCodec(0))
-    case "Delta-var"  => Some(new DeltaVarCodec(0.1))
-    case "LeCo-fix"   => Some(new LecoFixCodec(0))
-    case "LeCo-var"   => Some(new LecoVarCodec(0.1))
-    case "rANS"       => Some(new RansCodec(ds.rawBytesPerValue))
-  }
-
   /** Deterministic pseudo-random position stream (xorshift). */
   private def positions(n: Int, count: Int, seed: Long): Array[Int] = {
     var x = seed | 1
@@ -40,16 +29,21 @@ object MicroBench {
 
   @volatile var sink: Long = 0 // defeat dead-code elimination
 
+  /** `None` for Elias-Fano on unsorted data, which it cannot encode (the
+    * paper skips those pairs too).
+    */
   def measure(ds: IntDataset, scheme: String, accessCount: Int = 200_000): Option[Measurement] =
-    codecFor(scheme, ds).map { codec =>
+    if (scheme == "Elias-Fano" && !ds.fullySorted) None
+    else Some {
+      val codec = Codecs.byName(scheme, ds.rawBytesPerValue)
       val raw = ds.values.length.toLong * ds.rawBytesPerValue
       var compressed: CompressedInts = null
       val compNs = nanosOf { compressed = codec.compress(ds.values) }
       // warm + verify correctness of the roundtrip while we are here
-      val decoded = compressed.decompressAll()
+      val decoded = compressed.decodeAll()
       require(java.util.Arrays.equals(decoded, ds.values),
               s"$scheme roundtrip mismatch on ${ds.name}")
-      val decompNs = nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) }
+      val decompNs = nanosOf { sink += compressed.decodeAll()(ds.values.length - 1) }
       // rANS/Delta random access is slow; cap the probe count for them
       val probes =
         if (scheme == "rANS" || scheme.startsWith("Delta")) math.min(accessCount, 2000)

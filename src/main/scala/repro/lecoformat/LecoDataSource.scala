@@ -111,14 +111,19 @@ final class LecoReaderFactory(cols: Array[String], ranges: Map[String, (Long, Lo
     new LecoPartitionReader(partition.asInstanceOf[LecoInputPartition].filePath, cols, ranges)
 }
 
-/** Reads one part file row-group by row-group, applying zone-map and
-  * encoding-level skipping with the pushed ranges, then emits rows of the
-  * required columns.
+/** Reads one part file row-group by row-group through the reader's
+  * row-group scanner, with the pushed ranges as predicates (zone-map and
+  * encoding-level skipping), then emits rows of the required columns.
   */
 final class LecoPartitionReader(filePath: String, cols: Array[String],
                                 ranges: Map[String, (Long, Long)])
     extends PartitionReader[InternalRow] {
   private val reader = new LecoFileReader(new java.io.File(filePath))
+  // pushed ranges on columns this file lacks cannot prune it
+  private val preds: Seq[(Int, ScanPredicate)] = ranges.toSeq.collect {
+    case (col, (lo, hi)) if reader.columns.contains(col) => reader.colIndex(col) -> RangePredicate(lo, hi)
+  }
+  private val colIdx = cols.map(reader.colIndex)
   private var group = 0
   private var rows: Array[Array[Long]] = _ // row-major buffer of current group
   private var rowIdx = 0
@@ -128,47 +133,16 @@ final class LecoPartitionReader(filePath: String, cols: Array[String],
     while (group < reader.numGroups) {
       val g = group
       group += 1
-      // zone-map skip on every filtered column present in the file
-      val zoneOk = ranges.forall { case (col, (lo, hi)) =>
-        val ci = reader.columns.indexOf(col)
-        ci < 0 || { val (zlo, zhi) = reader.zone(g, ci); zhi >= lo && zlo <= hi }
-      }
-      if (zoneOk) {
-        // positions surviving all pushed per-column ranges
-        var positions: Array[Int] = null
-        for ((col, (lo, hi)) <- ranges) {
-          val ci = reader.columns.indexOf(col)
-          if (ci >= 0) {
-            val matched = reader.readChunk(g, ci).scan(RangePredicate(lo, hi))
-            positions = if (positions == null) matched else intersectSorted(positions, matched)
-          }
-        }
-        val total = reader.groupRows(g)
-        val sel: Array[Int] = if (positions == null) Array.tabulate(total)(identity) else positions
-        if (sel.nonEmpty) {
-          val colVals = cols.map { c =>
-            val chunk = reader.readChunk(g, reader.colIndex(c))
-            if (sel.length == total) chunk.decodeAll() else chunk.gather(sel)
-          }
-          nRows = sel.length
-          rows = Array.tabulate(nRows)(i => colVals.map(_(i)))
-          rowIdx = 0
-          return true
-        }
+      val sel = reader.selectRows(g, preds)
+      if (!sel.exists(_.isEmpty)) {
+        val colVals = colIdx.map(c => reader.readRows(g, c, sel))
+        nRows = sel.fold(reader.groupRows(g))(_.length)
+        rows = Array.tabulate(nRows)(i => colVals.map(_(i)))
+        rowIdx = 0
+        return true
       }
     }
     false
-  }
-
-  private def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int](math.min(a.length, b.length))
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    out.toArray
   }
 
   override def next(): Boolean = {

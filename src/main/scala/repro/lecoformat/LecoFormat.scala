@@ -3,6 +3,7 @@ package repro.lecoformat
 import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, File}
 import java.nio.ByteBuffer
 import repro.core._
+import repro.core.baseline.{ForCodec, ForCompressed}
 
 /** Column-chunk encodings supported by the columnar format (§5.1):
   * `Default` = dictionary with plain fallback (Parquet's default), `For`,
@@ -51,9 +52,12 @@ final case class TimeOfDayPredicate(mod: Long, t1: Long, t2: Long) extends ScanP
     if (hi - lo >= mod) true else nextMatch(lo) <= hi
 }
 
-/** Serialized column-chunk codecs. Each chunk is self-describing:
-  * `[tag:byte][zstd:byte][body...]`; when `zstd = 1` the body is
-  * zstd-compressed (the §5.1.3 block-compression experiment).
+/** Serialized column chunks: the tag→codec dispatch of the file format.
+  * Each chunk is self-describing: `[tag:byte][zstd:byte][rawLen:int][body...]`;
+  * when `zstd = 1` the body is zstd-compressed (the §5.1.3 block-compression
+  * experiment). FOR and LeCo-fix bodies are the core codecs' objects written
+  * field by field, so the file and the microbenchmarks share one
+  * implementation of each encoding.
   */
 object ChunkCodec {
   val PlainTag = 0; val DictTag = 1; val ForTag = 2; val LecoTag = 3
@@ -70,10 +74,11 @@ object ChunkCodec {
   }
 
   def encode(values: Array[Long], enc: Encoding, partSize: Int, zstd: Boolean): Array[Byte] = {
+    val size = if (partSize > 0) partSize else 1024 // the format never searches a size
     val body = enc match {
       case Encoding.Default => encodeDefault(values)
-      case Encoding.For     => encodeFor(values, partSize)
-      case Encoding.LecoFix => encodeLeco(values, partSize)
+      case Encoding.For     => writeFor(new ForCodec(size).compress(values))
+      case Encoding.LecoFix => writeLeco(new LecoFixCodec(size).compress(values))
     }
     val payload = if (zstd) com.github.luben.zstd.Zstd.compress(body, 3) else body
     val out = ByteBuffer.allocate(payload.length + 6)
@@ -84,7 +89,7 @@ object ChunkCodec {
     out.array()
   }
 
-  def decode(bytes: Array[Byte]): ColumnChunk = {
+  def decode(bytes: Array[Byte]): CompressedInts = {
     val tag  = bytes(0)
     val zstd = bytes(1) == 1
     val rawLen = ByteBuffer.wrap(bytes, 2, 4).getInt
@@ -96,8 +101,8 @@ object ChunkCodec {
     tag match {
       case PlainTag => PlainChunk.read(buf)
       case DictTag  => DictChunk.read(buf)
-      case ForTag   => ForChunk.read(buf)
-      case LecoTag  => LecoChunk.read(buf)
+      case ForTag   => readFor(buf)
+      case LecoTag  => readLeco(buf)
     }
   }
 
@@ -121,10 +126,10 @@ object ChunkCodec {
     w
   }
 
-  /** Dictionary with plain fallback at NDV > 50% of rows. */
+  /** Dictionary with plain fallback at NDV > 50% of rows (and when empty). */
   def encodeDefault(values: Array[Long]): Array[Byte] = {
     val distinct = values.distinct
-    if (distinct.length > values.length / 2) encodePlain(values)
+    if (values.isEmpty || distinct.length > values.length / 2) encodePlain(values)
     else {
       val dict  = distinct.sorted
       val index = new java.util.HashMap[java.lang.Long, Integer]()
@@ -162,81 +167,70 @@ object ChunkCodec {
     }
   }
 
-  def encodeFor(values: Array[Long], partSize: Int): Array[Byte] = {
-    val c = new ForCodecSer(partSize).encode(values)
-    c
-  }
-
-  def encodeLeco(values: Array[Long], partSize: Int): Array[Byte] = {
-    val size = if (partSize > 0) partSize else 1024
-    val n = values.length
-    bytesOf { d =>
-      d.writeByte(LecoTag)
-      d.writeInt(n); d.writeInt(size)
-      var s = 0
-      while (s < n) {
-        val e = math.min(s + size, n)
-        val p = LecoPartition.encode(values, s, e)
-        d.writeDouble(p.theta0); d.writeDouble(p.theta1); d.writeByte(p.width)
-        d.writeShort(p.corrections.length)
-        p.corrections.foreach(d.writeInt)
-        writeWords(d, p.words)
-        s = e
-      }
+  /** `[n:int][partSize:int]` then per frame `[min:long][width:byte][words]`. */
+  private def writeFor(c: ForCompressed): Array[Byte] = bytesOf { d =>
+    d.writeByte(ForTag)
+    d.writeInt(c.length); d.writeInt(c.partSize)
+    var p = 0
+    while (p < c.mins.length) {
+      d.writeLong(c.mins(p)); d.writeByte(c.widths(p))
+      writeWords(d, c.words(p))
+      p += 1
     }
   }
 
-  /** FOR serializer kept tiny and symmetric with the LeCo one. */
-  private final class ForCodecSer(partSize: Int) {
-    def encode(values: Array[Long]): Array[Byte] = {
-      val size = if (partSize > 0) partSize else 1024
-      val n = values.length
-      bytesOf { d =>
-        d.writeByte(ForTag)
-        d.writeInt(n); d.writeInt(size)
-        var s = 0
-        while (s < n) {
-          val e   = math.min(s + size, n)
-          val (mn, mx) = Regressor.minMax(values, s, e)
-          val width = BitPack.bitsFor(mx - mn)
-          d.writeLong(mn); d.writeByte(width)
-          val w = new Array[Long](BitPack.wordsFor(e - s, width))
-          var j = s
-          while (j < e) { BitPack.write(w, (j - s).toLong * width, width, values(j) - mn); j += 1 }
-          writeWords(d, w)
-          s = e
-        }
-      }
+  private def readFor(buf: ByteBuffer): ForCompressed = {
+    val n = buf.getInt; val size = buf.getInt
+    val nParts = (n + size - 1) / size
+    val mins = new Array[Long](nParts); val widths = new Array[Int](nParts)
+    val words = new Array[Array[Long]](nParts)
+    var p = 0
+    while (p < nParts) {
+      mins(p) = buf.getLong; widths(p) = buf.get() & 0xff
+      words(p) = readWords(buf)
+      p += 1
     }
+    new ForCompressed(n, size, mins, widths, words)
+  }
+
+  /** `[n:int][partSize:int]` then per partition
+    * `[θ0:double][θ1:double][width:byte][nCorr:short][corr:int*][words]`.
+    */
+  private def writeLeco(c: LecoFixCompressed): Array[Byte] = bytesOf { d =>
+    d.writeByte(LecoTag)
+    d.writeInt(c.length); d.writeInt(c.partSize)
+    for (p <- c.parts) {
+      d.writeDouble(p.theta0); d.writeDouble(p.theta1); d.writeByte(p.width)
+      d.writeShort(p.corrections.length)
+      p.corrections.foreach(d.writeInt)
+      writeWords(d, p.words)
+    }
+  }
+
+  private def readLeco(buf: ByteBuffer): LecoFixCompressed = {
+    val n = buf.getInt; val size = buf.getInt
+    val parts = new Array[LecoPartition]((n + size - 1) / size)
+    var p = 0
+    while (p < parts.length) {
+      val len = math.min(size, n - p * size)
+      val t0 = buf.getDouble; val t1 = buf.getDouble; val w = buf.get() & 0xff
+      val nc = buf.getShort.toInt
+      val corr = new Array[Int](nc)
+      var c = 0
+      while (c < nc) { corr(c) = buf.getInt; c += 1 }
+      parts(p) = LecoPartition(t0, t1, w, len, readWords(buf), corr)
+      p += 1
+    }
+    new LecoFixCompressed(n, size, parts)
   }
 }
 
-/** A decoded-on-demand column chunk. `scan` returns matching positions with
-  * whatever pruning the encoding supports; `gather` random-accesses the
-  * values at given positions (late materialization).
+/** The format-only encodings, Parquet's default pair: plain values at the
+  * narrowest byte width, and a sorted dictionary with bit-packed codes.
   */
-sealed trait ColumnChunk {
-  def n: Int
-  def decodeAll(): Array[Long]
-  def get(i: Int): Long
-  def gather(positions: Array[Int]): Array[Long] = {
-    val out = new Array[Long](positions.length)
-    var i = 0
-    while (i < positions.length) { out(i) = get(positions(i)); i += 1 }
-    out
-  }
-  /** Positions matching `pred`; default = decode everything and test. */
-  def scan(pred: ScanPredicate): Array[Int] = {
-    val vals = decodeAll()
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = 0
-    while (i < vals.length) { if (pred.test(vals(i))) out += i; i += 1 }
-    out.toArray
-  }
-}
-
-final class PlainChunk(values: Array[Long]) extends ColumnChunk {
-  def n: Int = values.length
+final class PlainChunk(values: Array[Long], width: Int) extends CompressedInts {
+  def length: Int = values.length
+  def sizeBytes: Long = 4 + 1 + values.length.toLong * width
   def decodeAll(): Array[Long] = values
   def get(i: Int): Long = values(i)
 }
@@ -254,12 +248,13 @@ object PlainChunk {
       }
       i += 1
     }
-    new PlainChunk(out)
+    new PlainChunk(out, w)
   }
 }
 
-final class DictChunk(val nRows: Int, dict: Array[Long], width: Int, words: Array[Long]) extends ColumnChunk {
-  def n: Int = nRows
+final class DictChunk(val nRows: Int, dict: Array[Long], width: Int, words: Array[Long]) extends CompressedInts {
+  def length: Int = nRows
+  def sizeBytes: Long = 4 + 4 + 1 + dict.length * 8L + 4 + words.length * 8L
   def get(i: Int): Long = dict(BitPack.read(words, i, width).toInt)
   def decodeAll(): Array[Long] = {
     val out = new Array[Long](nRows)
@@ -278,125 +273,6 @@ object DictChunk {
   }
 }
 
-final class ForChunk(val nRows: Int, partSize: Int, mins: Array[Long],
-                     widths: Array[Int], words: Array[Array[Long]]) extends ColumnChunk {
-  def n: Int = nRows
-  def get(i: Int): Long = mins(i / partSize) + BitPack.read(words(i / partSize), i % partSize, widths(i / partSize))
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](nRows)
-    var i = 0
-    while (i < nRows) { out(i) = get(i); i += 1 }
-    out
-  }
-  /** Partition-header skipping: a frame's values lie in [min, min + 2^w). */
-  override def scan(pred: ScanPredicate): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var p = 0
-    while (p < mins.length) {
-      val s = p * partSize
-      val e = math.min(s + partSize, nRows)
-      val lo = mins(p)
-      val hi = lo + (if (widths(p) >= 63) Long.MaxValue - lo else (1L << widths(p)) - 1)
-      if (pred.mayMatch(lo, hi)) {
-        val w = words(p); val b = widths(p)
-        var j = s
-        while (j < e) { if (pred.test(lo + BitPack.read(w, j - s, b))) out += j; j += 1 }
-      }
-      p += 1
-    }
-    out.toArray
-  }
-}
-object ForChunk {
-  def read(buf: ByteBuffer): ForChunk = {
-    val n = buf.getInt; val size = buf.getInt
-    val nParts = ((n + size - 1) / size).max(1)
-    val mins = new Array[Long](nParts); val widths = new Array[Int](nParts)
-    val words = new Array[Array[Long]](nParts)
-    var p = 0
-    while (p < nParts) {
-      mins(p) = buf.getLong; widths(p) = buf.get() & 0xff
-      words(p) = ChunkCodec.readWords(buf)
-      p += 1
-    }
-    new ForChunk(n, size, mins, widths, words)
-  }
-}
-
-final class LecoChunk(val nRows: Int, partSize: Int, parts: Array[LecoPartition]) extends ColumnChunk {
-  def n: Int = nRows
-  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](nRows)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
-  }
-
-  /** Partition-header skipping plus LeCo's in-partition computation pruning
-    * (§5.1.1): model prediction is a lower bound of the value (deltas are
-    * biased non-negative), so with θ1 > 0 the scanner jumps over position
-    * ranges whose value interval provably misses the predicate window.
-    */
-  override def scan(pred: ScanPredicate): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var p = 0
-    while (p < parts.length) {
-      val part = parts(p)
-      val s = p * partSize
-      val maxDelta = if (part.width >= 63) Long.MaxValue / 2 else (1L << part.width) - 1
-      val pLo = math.min(part.predict(0), part.predict(part.len - 1))
-      val pHi = math.max(part.predict(0), part.predict(part.len - 1)) + maxDelta
-      if (pred.mayMatch(pLo, pHi)) {
-        val jumpable = part.theta1 > 0
-        var j = 0
-        while (j < part.len) {
-          val lo = part.predict(j)
-          pred match {
-            case t: TimeOfDayPredicate if jumpable && t.nextMatch(lo) > lo + maxDelta =>
-              // no value at or after j can match before the next window:
-              // values at positions j..k-1 all lie in [lo, nextMatch).
-              val target = t.nextMatch(lo) - maxDelta
-              val skip = math.max(1L, ((target - part.theta0) / part.theta1).toLong - j)
-              j += math.min(skip, (part.len - j).toLong).toInt
-            case _ =>
-              // value = lo + delta: reuse the bound instead of a second predict
-              if (pred.test(lo + BitPack.read(part.words, j, part.width))) out += s + j
-              j += 1
-          }
-        }
-      }
-      p += 1
-    }
-    out.toArray
-  }
-}
-object LecoChunk {
-  def read(buf: ByteBuffer): LecoChunk = {
-    val n = buf.getInt; val size = buf.getInt
-    val nParts = ((n + size - 1) / size).max(1)
-    val parts = new Array[LecoPartition](nParts)
-    var p = 0
-    while (p < nParts) {
-      val len = math.min(size, n - p * size)
-      val t0 = buf.getDouble; val t1 = buf.getDouble; val w = buf.get() & 0xff
-      val nc = buf.getShort.toInt
-      val corr = new Array[Int](nc)
-      var c = 0
-      while (c < nc) { corr(c) = buf.getInt; c += 1 }
-      parts(p) = LecoPartition(t0, t1, w, len, ChunkCodec.readWords(buf), corr)
-      p += 1
-    }
-    new LecoChunk(n, size, parts)
-  }
-}
-
-/** One row group on disk: row count, then per column a zone map and the
-  * encoded chunk bytes.
-  */
-final case class RowGroupMeta(nRows: Int, zoneMin: Array[Long], zoneMax: Array[Long],
-                              chunkOffsets: Array[Long], chunkLens: Array[Int])
-
 /** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | footer`.
   * One instance per task/file; feed rows column-wise per row group.
   */
@@ -404,7 +280,6 @@ final class LecoFileWriter(file: File, columns: Seq[String], encoding: Encoding,
                            partSize: Int, zstd: Boolean, rowGroupRows: Int) {
   private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(file), 1 << 16))
   private val buffers = Array.fill(columns.size)(new scala.collection.mutable.ArrayBuffer[Long](rowGroupRows))
-  private var rowGroupCount = 0
   out.writeBytes("LECO1")
   out.writeInt(columns.size)
   columns.foreach(out.writeUTF)
@@ -429,7 +304,6 @@ final class LecoFileWriter(file: File, columns: Seq[String], encoding: Encoding,
       buffers(c).clear()
       c += 1
     }
-    rowGroupCount += 1
   }
 
   def close(): Unit = { flushGroup(); out.writeInt(-1); out.flush(); out.close() }
@@ -481,7 +355,7 @@ final class LecoFileReader(file: File) {
   def groupRows(g: Int): Int = groups(g)._1
   def zone(g: Int, col: Int): (Long, Long) = (groups(g)._2(col), groups(g)._3(col))
 
-  def readChunk(g: Int, col: Int): ColumnChunk = {
+  def readChunk(g: Int, col: Int): CompressedInts = {
     val (_, _, _, offs, lens) = groups(g)
     bytesRead += lens(col)
     val raf = new java.io.RandomAccessFile(file, "r")
@@ -491,6 +365,47 @@ final class LecoFileReader(file: File) {
       raf.readFully(bytes)
       ChunkCodec.decode(bytes)
     } finally raf.close()
+  }
+
+  /** The row-group scanner, step 1 (select): the ascending positions of group
+    * `g` that pass every `(column index, predicate)`. The zone maps skip the
+    * group when any predicate cannot match; otherwise each predicate's chunk
+    * `scan`s with its encoding's pruning and the results are intersected.
+    * `None` when there is no predicate, i.e. every row survives.
+    */
+  def selectRows(g: Int, preds: Seq[(Int, ScanPredicate)]): Option[Array[Int]] =
+    if (preds.isEmpty) None
+    else if (!preds.forall { case (c, p) => val (lo, hi) = zone(g, c); p.mayMatch(lo, hi) }) Some(Array.emptyIntArray)
+    else Some(preds.map { case (c, p) => readChunk(g, c).scan(p) }.reduce(intersectSorted))
+
+  /** Step 2 (materialize): column `col` of group `g` at `rows` (as from
+    * [[selectRows]]). Late materialization gathers by random access when
+    * fewer than 10% of the group's rows survive, and otherwise decodes the
+    * whole chunk and picks the survivors.
+    */
+  def readRows(g: Int, col: Int, rows: Option[Array[Int]]): Array[Long] = {
+    val chunk = readChunk(g, col)
+    rows match {
+      case None => chunk.decodeAll()
+      case Some(pos) if pos.length.toLong * 10 < chunk.length => chunk.gather(pos)
+      case Some(pos) =>
+        val all = chunk.decodeAll()
+        val out = new Array[Long](pos.length)
+        var i = 0
+        while (i < pos.length) { out(i) = all(pos(i)); i += 1 }
+        out
+    }
+  }
+
+  private def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new scala.collection.mutable.ArrayBuffer[Int](math.min(a.length, b.length))
+    var i = 0; var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    out.toArray
   }
 }
 
@@ -520,24 +435,12 @@ object LecoTable {
     val out = new scala.collection.mutable.ArrayBuffer[Long]()
     var ioBytes = 0L
     for (f <- partFiles(dir)) {
-      val r  = new LecoFileReader(f)
-      val fc = r.colIndex(filterCol); val pc = r.colIndex(projectCol)
-      var g = 0
-      while (g < r.numGroups) {
-        val (lo, hi) = r.zone(g, fc)
-        if (pred.mayMatch(lo, hi)) {
-          val positions = r.readChunk(g, fc).scan(pred)
-          if (positions.nonEmpty) {
-            val chunk = r.readChunk(g, pc)
-            // late materialization: random access below 10% selectivity
-            if (positions.length.toLong * 10 < r.groupRows(g)) out ++= chunk.gather(positions)
-            else {
-              val all = chunk.decodeAll()
-              positions.foreach(p => out += all(p))
-            }
-          }
-        }
-        g += 1
+      val r     = new LecoFileReader(f)
+      val preds = Seq(r.colIndex(filterCol) -> pred)
+      val pc    = r.colIndex(projectCol)
+      for (g <- 0 until r.numGroups) {
+        val rows = r.selectRows(g, preds)
+        if (rows.exists(_.nonEmpty)) out ++= r.readRows(g, pc, rows)
       }
       ioBytes += r.bytesRead
     }
@@ -565,10 +468,7 @@ object LecoTable {
             local += (positions(pi) - fileBase).toInt
             pi += 1
           }
-          val chunk = r.readChunk(g, c)
-          val vals =
-            if (local.length.toLong * 10 < n) chunk.gather(local.toArray)
-            else { val all = chunk.decodeAll(); local.map(all(_)).toArray }
+          val vals = r.readRows(g, c, Some(local.toArray))
           System.arraycopy(vals, 0, out, firstPi, vals.length)
         }
         fileBase = groupEnd

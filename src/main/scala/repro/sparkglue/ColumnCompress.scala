@@ -3,8 +3,7 @@ package repro.sparkglue
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.LongType
-import repro.core._
-import repro.core.baseline._
+import repro.core.Codecs
 
 /** Per-column-chunk compression inside Spark executors: each DataFrame
   * partition becomes one column chunk, encoded with the named codec, and
@@ -13,20 +12,10 @@ import repro.core.baseline._
   */
 object ColumnCompress {
 
-  /** Codec registry by name so the closure ships a string, not a codec. */
-  def codec(id: String): IntCodec = id match {
-    case "LeCo-fix"  => new LecoFixCodec(0)
-    case "LeCo-var"  => new LecoVarCodec(0.1)
-    case "FOR"       => new ForCodec(0)
-    case "Delta-fix" => new DeltaFixCodec(0)
-    case "Delta-var" => new DeltaVarCodec(0.1)
-    case "rANS"      => new RansCodec(8)
-    case other       => throw new IllegalArgumentException(s"unknown codec $other")
-  }
-
   final case class ChunkStat(nValues: Long, compressedBytes: Long, inversions: Long)
 
-  /** Compress one column chunk-per-partition with `codecId`; returns
+  /** Compress one column chunk-per-partition with the codec named `codecId`
+    * (shipped by name, see [[Codecs.byName]]); returns
     * (total values, total compressed bytes, adjacent-inversion count).
     */
   def compressColumn(df: DataFrame, column: String, codecId: String): ChunkStat = {
@@ -37,7 +26,7 @@ object ColumnCompress {
         val values = it.toArray
         if (values.isEmpty) Iterator.empty
         else {
-          val c = codec(codecId).compress(values)
+          val c = Codecs.byName(codecId).compress(values)
           var inv = 0L
           var i = 1
           while (i < values.length) { if (values(i) < values(i - 1)) inv += 1; i += 1 }

@@ -42,7 +42,7 @@ class LecoCodecSpec extends AnyFunSuite {
     val c = new LecoFixCodec(500).compress(vals)
     assert(c.parts.length == 2)
     assert(c.parts(0).width == 0 && c.parts(1).width == 0)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
   }
 
   test("LeCo-fix last ragged partition handled") {
@@ -99,7 +99,7 @@ class LecoCodecSpec extends AnyFunSuite {
     val r = new scala.util.Random(5)
     val vals = Array.fill(10_000)(r.nextLong() % 1_000_000_000L)
     val c = new LecoFixCodec(777).compress(vals)
-    val all = c.decompressAll()
+    val all = c.decodeAll()
     (0 until 10_000 by 111).foreach(i => assert(c.get(i) == all(i)))
   }
 

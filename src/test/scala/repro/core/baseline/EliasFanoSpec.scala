@@ -16,7 +16,7 @@ class EliasFanoSpec extends AnyFunSuite {
   test("dense consecutive integers") {
     val vals = Array.tabulate(10_000)(i => 100L + i)
     val c = new EliasFanoCodec(1024).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
     (0 until 10_000 by 97).foreach(i => assert(c.get(i) == vals(i)))
   }
 
@@ -24,21 +24,21 @@ class EliasFanoSpec extends AnyFunSuite {
     val r = new scala.util.Random(1)
     val vals = Array.fill(5000)(math.abs(r.nextLong()) % (1L << 45)).sorted
     val c = new EliasFanoCodec(512).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
     (0 until 5000 by 53).foreach(i => assert(c.get(i) == vals(i)))
   }
 
   test("duplicates allowed") {
     val vals = Array(5L, 5L, 5L, 8L, 8L, 12L)
     val c = new EliasFanoCodec(6).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
     vals.indices.foreach(i => assert(c.get(i) == vals(i)))
   }
 
   test("all-equal partition (universe 0)") {
     val vals = Array.fill(100)(42L)
     val c = new EliasFanoCodec(100).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
     assert(c.get(57) == 42L)
   }
 

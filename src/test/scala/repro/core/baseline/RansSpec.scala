@@ -25,21 +25,21 @@ class RansSpec extends AnyFunSuite {
     val r = new scala.util.Random(1)
     val vals = Array.fill(50_000)((r.nextInt(16)).toLong) // low entropy
     val c = new RansCodec(8, 4096).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
   }
 
   test("roundtrip full-range 64-bit values") {
     val r = new scala.util.Random(2)
     val vals = Array.fill(10_000)(r.nextLong())
     val c = new RansCodec(8, 2048).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
   }
 
   test("roundtrip 4-byte values at width 4") {
     val r = new scala.util.Random(3)
     val vals = Array.fill(10_000)(r.nextInt(Int.MaxValue).toLong)
     val c = new RansCodec(4, 2048).compress(vals)
-    assert(c.decompressAll().sameElements(vals))
+    assert(c.decodeAll().sameElements(vals))
   }
 
   test("random access decodes block prefixes correctly") {
@@ -57,7 +57,7 @@ class RansSpec extends AnyFunSuite {
 
   test("single-value input") {
     val c = new RansCodec(8).compress(Array(123456789L))
-    assert(c.decompressAll().sameElements(Array(123456789L)))
+    assert(c.decodeAll().sameElements(Array(123456789L)))
     assert(c.get(0) == 123456789L)
   }
 

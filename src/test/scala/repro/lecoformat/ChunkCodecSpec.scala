@@ -11,6 +11,7 @@ class ChunkCodecSpec extends AnyFunSuite {
     "unique"     -> Array.tabulate(5000)(i => i * 982451653L % 1000000007L),
     "negative"   -> Array.tabulate(5000)(i => -1000000L + 37L * i),
     "tiny"       -> Array(5L),
+    "empty"      -> Array.empty[Long],
   )
 
   for ((name, values) <- cases;
@@ -20,9 +21,10 @@ class ChunkCodecSpec extends AnyFunSuite {
     test(s"$encName(zstd=$zstd) chunk roundtrips $name") {
       val bytes = ChunkCodec.encode(values, enc, 512, zstd)
       val chunk = ChunkCodec.decode(bytes)
-      assert(chunk.n == values.length)
+      assert(chunk.length == values.length)
       assert(chunk.decodeAll().sameElements(values))
-      Seq(0, values.length / 2, values.length - 1).foreach(i => assert(chunk.get(i) == values(i)))
+      if (values.nonEmpty)
+        Seq(0, values.length / 2, values.length - 1).foreach(i => assert(chunk.get(i) == values(i)))
     }
   }
 

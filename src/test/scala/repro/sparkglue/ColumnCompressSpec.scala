@@ -1,14 +1,15 @@
 package repro.sparkglue
 
 import repro.SparkSpec
+import repro.core.Codecs
 import repro.data.Tables
 
 class ColumnCompressSpec extends SparkSpec {
 
   test("codec registry resolves the five Fig 12 schemes") {
-    Seq("LeCo-fix", "LeCo-var", "FOR", "Delta-fix", "Delta-var", "rANS")
-      .foreach(id => assert(ColumnCompress.codec(id).name.nonEmpty))
-    intercept[IllegalArgumentException](ColumnCompress.codec("nope"))
+    Seq("LeCo-fix", "LeCo-var", "FOR", "Delta-fix", "Delta-var", "rANS", "Elias-Fano")
+      .foreach(id => assert(Codecs.byName(id).name == id))
+    intercept[IllegalArgumentException](Codecs.byName("nope"))
   }
 
   test("compressColumn counts every value exactly once") {
