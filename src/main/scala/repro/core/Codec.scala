@@ -42,6 +42,52 @@ trait CompressedInts {
   }
 }
 
+/** One encoded partition of a partitioned codec: the per-model part of
+  * LeCo's "model + delta" scheme (§2), positions `0 until len`.
+  */
+trait EncodedPartition {
+  def len: Int
+  def get(j: Int): Long
+  def decodeInto(out: Array[Long], outOff: Int): Unit
+  def sizeBytes: Long
+}
+
+/** The partition layer shared by the partitioned codecs: `parts` cover
+  * `0 until n` in order. Each final container keeps its own one-line `get`
+  * (one call site per partition type keeps random access monomorphic).
+  */
+abstract class Partitioned[P <: EncodedPartition](val n: Int, val parts: Array[P])
+    extends CompressedInts {
+  final def length: Int = n
+  final def sizeBytes: Long = {
+    var total = 0L
+    var k = 0
+    while (k < parts.length) { total += parts(k).sizeBytes; k += 1 }
+    total
+  }
+  final def decodeAll(): Array[Long] = {
+    val out = new Array[Long](n)
+    var off = 0
+    var k = 0
+    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
+    out
+  }
+}
+
+/** Variable-length partitions: partition k starts at `starts(k)`. */
+abstract class VarPartitioned[P <: EncodedPartition](n: Int, val starts: Array[Int], parts: Array[P])
+    extends Partitioned[P](n, parts) {
+  /** Lower-bound search: largest k with starts(k) <= i. */
+  @inline final def partitionOf(i: Int): Int = {
+    var lo = 0; var hi = starts.length - 1
+    while (lo < hi) {
+      val mid = (lo + hi + 1) >>> 1
+      if (starts(mid) <= i) lo = mid else hi = mid - 1
+    }
+    lo
+  }
+}
+
 /** An integer compression scheme (one of the seven evaluated in §4). */
 trait IntCodec {
   def name: String

@@ -11,7 +11,8 @@ import repro.lecoformat.{ScanPredicate, TimeOfDayPredicate}
   * at those positions the decoder recomputes directly and resynchronizes.
   */
 final case class LecoPartition(theta0: Double, theta1: Double, width: Int,
-                               len: Int, words: Array[Long], corrections: Array[Int]) {
+                               len: Int, words: Array[Long], corrections: Array[Int])
+    extends EncodedPartition {
   @inline def predict(j: Int): Long = math.floor(theta0 + theta1 * j).toLong
   @inline def get(j: Int): Long = predict(j) + BitPack.read(words, j, width)
 
@@ -71,44 +72,24 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
   def compress(values: Array[Long]): LecoFixCompressed = {
     val size =
       if (partitionSize > 0) partitionSize
-      else Partitioner.searchFixedSize(values, (s, l) => LecoFixCodec.costAt(s, l))
-    val n = values.length
-    val parts = new Array[LecoPartition]((n + size - 1) / size)
-    var p = 0
-    var s = 0
-    while (s < n) { parts(p) = LecoPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new LecoFixCompressed(n, size, parts)
+      else Partitioner.searchFixedSize(values, LecoFixCodec.costAt)
+    new LecoFixCompressed(values.length, size,
+      Partitioner.fixed(values.length, size)(LecoPartition.encode(values, _, _)))
   }
 }
 
 object LecoFixCodec {
   /** Compressed bytes of `sample` at partition size `l` — the search cost fn. */
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e   = math.min(s + l, sample.length)
-      val fit = Regressor.fitLinear(sample, s, e)
-      total += Codec.LinearHeaderBytes + ((e - s).toLong * fit.bitWidth + 7) / 8
-      s = e
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample.length, l) { (s, e) =>
+      Codec.LinearHeaderBytes + ((e - s).toLong * Regressor.fitLinear(sample, s, e).bitWidth + 7) / 8
     }
-    total
-  }
 }
 
-final class LecoFixCompressed(val n: Int, val partSize: Int,
-                              val parts: Array[LecoPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class LecoFixCompressed(n: Int, val partSize: Int, parts: Array[LecoPartition])
+    extends Partitioned(n, parts) {
   override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
-  def get(i: Int): Long = { val p = parts(i / partSize); p.get(i % partSize) }
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
-  }
+  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
 
   /** Partition-header skipping plus LeCo's in-partition computation pruning
     * (§5.1.1): model prediction is a lower bound of the value (deltas are
@@ -159,35 +140,12 @@ final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
 
   def compress(values: Array[Long]): LecoVarCompressed = {
     val ps = Partitioner.variable(values, Partitioner.LinearMode, tau)
-    val parts = new Array[LecoPartition](ps.count)
-    var k = 0
-    while (k < ps.count) { parts(k) = LecoPartition.encode(values, ps.starts(k), ps.end(k)); k += 1 }
-    new LecoVarCompressed(values.length, ps.starts, parts)
+    new LecoVarCompressed(values.length, ps.starts, ps.encode(LecoPartition.encode(values, _, _)))
   }
 }
 
-final class LecoVarCompressed(val n: Int, val starts: Array[Int],
-                              val parts: Array[LecoPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class LecoVarCompressed(n: Int, starts: Array[Int], parts: Array[LecoPartition])
+    extends VarPartitioned(n, starts, parts) {
   override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
-
-  /** Lower-bound search: largest k with starts(k) <= i. */
-  @inline def partitionOf(i: Int): Int = {
-    var lo = 0; var hi = starts.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) <= i) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }
-    out
-  }
 }

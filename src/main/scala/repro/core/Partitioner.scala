@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
 /** A partition boundary list: partition k spans `starts(k) until starts(k+1)`
   * (with an implicit final end of `n`).
@@ -8,6 +9,9 @@ import scala.collection.mutable.ArrayBuffer
 final case class Partitions(starts: Array[Int], n: Int) {
   def count: Int = starts.length
   def end(k: Int): Int = if (k + 1 < starts.length) starts(k + 1) else n
+
+  /** The one variable-length encode loop: `f(start, end)` per partition. */
+  def encode[P: ClassTag](f: (Int, Int) => P): Array[P] = Array.tabulate(count)(k => f(starts(k), end(k)))
 }
 
 /** The LeCo Partitioner (§3.2): fixed-length with sampling-based size search
@@ -118,6 +122,22 @@ object Partitioner {
       aggs.clear(); aggs ++= na
     }
     Partitions(starts.toArray, n)
+  }
+
+  /** The one fixed-length encode loop: `encode(from, until)` for each
+    * length-`size` partition of `0 until n`, in order (the last may be short).
+    */
+  def fixed[P: ClassTag](n: Int, size: Int)(encode: (Int, Int) => P): Array[P] =
+    Array.tabulate((n + size - 1) / size) { p => val s = p * size; encode(s, s + math.min(size, n - s)) }
+
+  /** The one size-search cost loop: total of `partCost(from, until)` over
+    * the length-`l` partitions of `0 until n`.
+    */
+  def fixedCost(n: Int, l: Int)(partCost: (Int, Int) => Long): Long = {
+    var total = 0L
+    var s = 0
+    while (s < n) { val e = math.min(s + l, n); total += partCost(s, e); s = e }
+    total
   }
 
   /** Fixed-length partitioning with the sampling-based size search of

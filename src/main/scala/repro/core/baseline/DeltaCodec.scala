@@ -7,7 +7,8 @@ import repro.core._
   * access must decode the partition prefix sequentially — the order-of-
   * magnitude access penalty §4.3.2 reports.
   */
-final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[Long]) {
+final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[Long])
+    extends EncodedPartition {
   @inline private def unzig(z: Long): Long = (z >>> 1) ^ -(z & 1L)
 
   /** Decode value at in-partition position `j` (O(j) scan). */
@@ -55,39 +56,20 @@ final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, DeltaFixCodec.costAt)
-    val n = values.length
-    val parts = new Array[DeltaPartition]((n + size - 1) / size)
-    var p = 0; var s = 0
-    while (s < n) { parts(p) = DeltaPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new DeltaFixCompressed(n, size, parts)
+    new DeltaFixCompressed(values.length, size,
+      Partitioner.fixed(values.length, size)(DeltaPartition.encode(values, _, _)))
   }
 }
 
 object DeltaFixCodec {
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e = math.min(s + l, sample.length)
-      total += DeltaPartition.encode(sample, s, e).sizeBytes
-      s = e
-    }
-    total
-  }
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample.length, l)(DeltaPartition.encode(sample, _, _).sizeBytes)
 }
 
-final class DeltaFixCompressed(val n: Int, val partSize: Int,
-                               val parts: Array[DeltaPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class DeltaFixCompressed(n: Int, val partSize: Int, parts: Array[DeltaPartition])
+    extends Partitioned(n, parts) {
   override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
-  }
 }
 
 /** Delta Encoding with LeCo's variable-length Partitioner in Delta mode
@@ -98,31 +80,12 @@ final class DeltaVarCodec(val tau: Double = 0.1) extends IntCodec {
 
   def compress(values: Array[Long]): DeltaVarCompressed = {
     val ps = Partitioner.variable(values, Partitioner.DeltaMode, tau)
-    val parts = new Array[DeltaPartition](ps.count)
-    var k = 0
-    while (k < ps.count) { parts(k) = DeltaPartition.encode(values, ps.starts(k), ps.end(k)); k += 1 }
-    new DeltaVarCompressed(values.length, ps.starts, parts)
+    new DeltaVarCompressed(values.length, ps.starts, ps.encode(DeltaPartition.encode(values, _, _)))
   }
 }
 
-final class DeltaVarCompressed(val n: Int, val starts: Array[Int],
-                               val parts: Array[DeltaPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class DeltaVarCompressed(n: Int, starts: Array[Int], parts: Array[DeltaPartition])
+    extends VarPartitioned(n, starts, parts) {
   override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
-  @inline def partitionOf(i: Int): Int = {
-    var lo = 0; var hi = starts.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) <= i) lo = mid else hi = mid - 1
-    }
-    lo
-  }
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }
-    out
-  }
 }

@@ -18,11 +18,8 @@ final class EliasFanoCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, EliasFanoCodec.costAt)
-    val n = values.length
-    val parts = new Array[EfPartition]((n + size - 1) / size)
-    var p = 0; var s = 0
-    while (s < n) { parts(p) = EfPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new EliasFanoCompressed(n, size, parts)
+    new EliasFanoCompressed(values.length, size,
+      Partitioner.fixed(values.length, size)(EfPartition.encode(values, _, _)))
   }
 }
 
@@ -34,20 +31,13 @@ object EliasFanoCodec {
   }
   def costAt(sample: Array[Long], l: Int): Long = {
     val sorted = if (isSorted(sample)) sample else sample.sorted
-    var total = 0L
-    var s = 0
-    while (s < sorted.length) {
-      val e = math.min(s + l, sorted.length)
-      total += EfPartition.encodedBytes(sorted, s, e)
-      s = e
-    }
-    total
+    Partitioner.fixedCost(sorted.length, l)(EfPartition.encodedBytes(sorted, _, _))
   }
 }
 
 final case class EfPartition(base: Long, l: Int, len: Int,
                              low: Array[Long], high: Array[Long],
-                             selectSamples: Array[Int]) {
+                             selectSamples: Array[Int]) extends EncodedPartition {
   /** select-1(j) on `high` via the nearest sampled set-bit position plus a
     * popcount scan forward from it.
     */
@@ -130,15 +120,7 @@ object EfPartition {
   }
 }
 
-final class EliasFanoCompressed(val n: Int, val partSize: Int,
-                                val parts: Array[EfPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class EliasFanoCompressed(n: Int, val partSize: Int, parts: Array[EfPartition])
+    extends Partitioned(n, parts) {
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
-  }
 }

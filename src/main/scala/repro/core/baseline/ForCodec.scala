@@ -37,17 +37,10 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
 }
 
 object ForCodec {
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e   = math.min(s + l, sample.length)
-      val fit = Regressor.fitConstant(sample, s, e)
-      total += Codec.SimpleHeaderBytes + ((e - s).toLong * fit.bitWidth + 7) / 8
-      s = e
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample.length, l) { (s, e) =>
+      Codec.SimpleHeaderBytes + ((e - s).toLong * Regressor.fitConstant(sample, s, e).bitWidth + 7) / 8
     }
-    total
-  }
 }
 
 final class ForCompressed(val n: Int, val partSize: Int, val mins: Array[Long],

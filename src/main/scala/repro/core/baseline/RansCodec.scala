@@ -26,14 +26,7 @@ final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) 
     i = 0
     while (i < 256) { cum(i + 1) = cum(i) + freq(i); i += 1 }
 
-    val blocks = new Array[Array[Byte]]((n + blockValues - 1) / blockValues)
-    var blk = 0
-    var s   = 0
-    while (s < n) {
-      val e = math.min(s + blockValues, n)
-      blocks(blk) = Rans.encodeBlock(values, s, e, bytesPerValue, freq, cum)
-      blk += 1; s = e
-    }
+    val blocks = Partitioner.fixed(n, blockValues)(Rans.encodeBlock(values, _, _, bytesPerValue, freq, cum))
     new RansCompressed(n, bytesPerValue, blockValues, freq, cum, blocks)
   }
 }

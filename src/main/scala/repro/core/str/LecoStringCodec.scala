@@ -1,7 +1,7 @@
 package repro.core.str
 
 import java.math.BigInteger
-import repro.core.{BitPack, Codec}
+import repro.core.{BitPack, Codec, Partitioner}
 
 /** A compressed string column chunk (shape mirrors [[repro.core.CompressedInts]]). */
 trait CompressedStrings {
@@ -37,17 +37,9 @@ final class LecoStringCodec(val partitionSize: Int = 256, val powerOfTwoBase: Bo
     extends StringCodec {
   val name: String = if (powerOfTwoBase) "LeCo-str-pow2" else "LeCo-str"
 
-  def compress(values: Array[String]): LecoStringCompressed = {
-    val n = values.length
-    val parts = scala.collection.mutable.ArrayBuffer[StringPartition]()
-    var s = 0
-    while (s < n) {
-      val e = math.min(s + partitionSize, n)
-      parts += StringPartition.encode(values, s, e, powerOfTwoBase)
-      s = e
-    }
-    new LecoStringCompressed(n, partitionSize, parts.toArray)
-  }
+  def compress(values: Array[String]): LecoStringCompressed =
+    new LecoStringCompressed(values.length, partitionSize,
+      Partitioner.fixed(values.length, partitionSize)(StringPartition.encode(values, _, _, powerOfTwoBase)))
 }
 
 /** One encoded string partition. `alphabet` lists the partition's characters

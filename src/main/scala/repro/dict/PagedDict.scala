@@ -1,7 +1,8 @@
 package repro.dict
 
 import java.io.{File, FileOutputStream}
-import repro.core.{BitPack, Regressor, LecoPartition}
+import repro.core.LecoFixCodec
+import repro.core.baseline.ForCodec
 
 /** An order-preserving dictionary (code = rank in the sorted unique domain)
   * whose code→value array lives in a file accessed through a [[BufferPool]]
@@ -46,50 +47,29 @@ object PagedDict {
   def forEncoded(domain: Array[Long], partSize: Int, budgetBytes: Long, pageSize: Int = 4096): PagedDict = {
     val f = tempFile("fordict")
     val out = new java.io.DataOutputStream(new java.io.BufferedOutputStream(new FileOutputStream(f)))
-    val n = domain.length
-    val headerOffs = new scala.collection.mutable.ArrayBuffer[Long]()
-    val mins = new scala.collection.mutable.ArrayBuffer[Long]()
-    val widths = new scala.collection.mutable.ArrayBuffer[Int]()
-    var off = 0L
-    var s = 0
-    while (s < n) {
-      val e = math.min(s + partSize, n)
-      val (mn, mx) = Regressor.minMax(domain, s, e)
-      val width = BitPack.bitsFor(mx - mn)
-      headerOffs += off
-      mins += mn; widths += width
-      out.writeLong(mn); out.writeByte(width); off += 9
-      val words = new Array[Long](BitPack.wordsFor(e - s, width))
-      var j = s
-      while (j < e) { BitPack.write(words, (j - s).toLong * width, width, domain(j) - mn); j += 1 }
-      words.foreach(out.writeLong); off += words.length * 8L
-      s = e
+    val c = new ForCodec(partSize).compress(domain)
+    val headerOffs = Array.tabulate(c.mins.length) { p =>
+      val off = out.size().toLong
+      out.writeLong(c.mins(p)); out.writeByte(c.widths(p)); c.words(p).foreach(out.writeLong)
+      off
     }
     out.close()
-    new ForDict(new BufferPool(f, pageSize, budgetBytes), n, partSize,
-                headerOffs.toArray, widths.toArray, f.length())
+    new ForDict(new BufferPool(f, pageSize, budgetBytes), domain.length, partSize,
+                headerOffs, c.widths, f.length())
   }
 
   def lecoEncoded(domain: Array[Long], partSize: Int, budgetBytes: Long, pageSize: Int = 4096): PagedDict = {
     val f = tempFile("lecodict")
     val out = new java.io.DataOutputStream(new java.io.BufferedOutputStream(new FileOutputStream(f)))
-    val n = domain.length
-    val headerOffs = new scala.collection.mutable.ArrayBuffer[Long]()
-    val widths = new scala.collection.mutable.ArrayBuffer[Int]()
-    var off = 0L
-    var s = 0
-    while (s < n) {
-      val e = math.min(s + partSize, n)
-      val p = LecoPartition.encode(domain, s, e)
-      headerOffs += off
-      widths += p.width
-      out.writeDouble(p.theta0); out.writeDouble(p.theta1); out.writeByte(p.width); off += 17
-      p.words.foreach(out.writeLong); off += p.words.length * 8L
-      s = e
+    val parts = new LecoFixCodec(partSize).compress(domain).parts
+    val headerOffs = parts.map { p =>
+      val off = out.size().toLong
+      out.writeDouble(p.theta0); out.writeDouble(p.theta1); out.writeByte(p.width); p.words.foreach(out.writeLong)
+      off
     }
     out.close()
-    new LecoDict(new BufferPool(f, pageSize, budgetBytes), n, partSize,
-                 headerOffs.toArray, widths.toArray, f.length())
+    new LecoDict(new BufferPool(f, pageSize, budgetBytes), domain.length, partSize,
+                 headerOffs, parts.map(_.width), f.length())
   }
 }
 

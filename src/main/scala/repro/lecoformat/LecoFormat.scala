@@ -14,11 +14,6 @@ object Encoding {
   case object Default extends Encoding(0)
   case object For     extends Encoding(1)
   case object LecoFix extends Encoding(2)
-  def of(tag: Int): Encoding = tag match {
-    case 0 => Default
-    case 1 => For
-    case 2 => LecoFix
-  }
 }
 
 /** A filter predicate the scanner can both evaluate per value and prune
@@ -209,19 +204,11 @@ object ChunkCodec {
 
   private def readLeco(buf: ByteBuffer): LecoFixCompressed = {
     val n = buf.getInt; val size = buf.getInt
-    val parts = new Array[LecoPartition]((n + size - 1) / size)
-    var p = 0
-    while (p < parts.length) {
-      val len = math.min(size, n - p * size)
+    new LecoFixCompressed(n, size, Partitioner.fixed(n, size) { (s, e) =>
       val t0 = buf.getDouble; val t1 = buf.getDouble; val w = buf.get() & 0xff
-      val nc = buf.getShort.toInt
-      val corr = new Array[Int](nc)
-      var c = 0
-      while (c < nc) { corr(c) = buf.getInt; c += 1 }
-      parts(p) = LecoPartition(t0, t1, w, len, readWords(buf), corr)
-      p += 1
-    }
-    new LecoFixCompressed(n, size, parts)
+      val corr = Array.fill(buf.getShort.toInt)(buf.getInt)
+      LecoPartition(t0, t1, w, e - s, readWords(buf), corr)
+    })
   }
 }
 

@@ -2,6 +2,7 @@ package repro.lecoformat
 
 import java.io.File
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
 import org.apache.spark.TaskContext
 
 /** Writes a DataFrame of integer-typed columns to a `leco` table directory,
@@ -11,10 +12,18 @@ import org.apache.spark.TaskContext
   */
 object LecoWriter {
 
-  /** All columns must be integral (or date/timestamp-like castable to long). */
+  /** Columns must be byte/short/int/bigint and hold no nulls: any other
+    * column type is rejected before `dir` is touched, and a null fails the
+    * task that meets it, so no value is ever truncated or made up.
+    */
   def write(df: DataFrame, dir: String, encoding: Encoding,
             partSize: Int = 1024, zstd: Boolean = false,
             rowGroupRows: Int = 1 << 20): Unit = {
+    for (f <- df.schema.fields) f.dataType match {
+      case ByteType | ShortType | IntegerType | LongType =>
+      case t => throw new IllegalArgumentException(
+        s"column `${f.name}` has type ${t.simpleString}; leco stores only tinyint/smallint/int/bigint columns")
+    }
     val out = new File(dir)
     if (out.exists()) {
       out.listFiles().foreach(_.delete())
@@ -28,7 +37,10 @@ object LecoWriter {
       val buf = new Array[Long](cols.size)
       rows.foreach { r =>
         var c = 0
-        while (c < buf.length) { buf(c) = r.getLong(c); c += 1 }
+        while (c < buf.length) {
+          if (r.isNullAt(c)) throw new IllegalArgumentException(s"column `${cols(c)}` holds a null; leco stores no nulls")
+          buf(c) = r.getLong(c); c += 1
+        }
         w.addRow(buf)
       }
       w.close()

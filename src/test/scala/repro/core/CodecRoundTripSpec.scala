@@ -48,6 +48,19 @@ class CodecRoundTripSpec extends AnyFunSuite {
 
   for ((distName, values) <- distributions) {
     val sorted = EliasFanoCodec.isSorted(values)
+
+    test(s"size-search costAt equals the compressed size on $distName") {
+      for (l <- Seq(16, 100, 1024)) {
+        assert(ForCodec.costAt(values, l) == new ForCodec(l).compress(values).sizeBytes, s"FOR l=$l")
+        assert(DeltaFixCodec.costAt(values, l) == new DeltaFixCodec(l).compress(values).sizeBytes, s"Delta-fix l=$l")
+        if (sorted)
+          assert(EliasFanoCodec.costAt(values, l) == new EliasFanoCodec(l).compress(values).sizeBytes, s"EF l=$l")
+        // the search cost leaves out the correction lists (4 B per entry)
+        val leco = new LecoFixCodec(l).compress(values)
+        val corrections = leco.parts.map(_.corrections.length.toLong).sum
+        assert(LecoFixCodec.costAt(values, l) == leco.sizeBytes - 4 * corrections, s"LeCo-fix l=$l")
+      }
+    }
     for (codec <- codecs(sorted)) {
       val label = codec match {
         case c: ForCodec      => s"FOR(${c.partitionSize})"

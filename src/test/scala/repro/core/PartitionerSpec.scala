@@ -75,6 +75,16 @@ class PartitionerSpec extends AnyFunSuite {
     assert(variable(vals, LinearMode, 0.0).count == 1)
   }
 
+  test("fixed and fixedCost cover 0 until n exactly, in order") {
+    for (size <- Seq(16, 100, 1024); n <- Seq(0, 1, size - 1, size, size + 1, 3 * size)) {
+      val ranges = fixed(n, size)((s, e) => (s, e))
+      assert(ranges.flatMap { case (s, e) => s until e }.sameElements(0 until n), s"n=$n size=$size")
+      assert(ranges.forall { case (s, e) => e > s && (e - s == size || e == n) }, s"n=$n size=$size")
+      assert(fixedCost(n, size)((s, e) => e - s) == n)
+      assert(fixedCost(n, size)((_, _) => 1L) == ranges.length)
+    }
+  }
+
   test("searchFixedSize returns a ladder size minimizing sampled cost") {
     val vals = Array.tabulate(100_000)(i => 3L * i)
     val best = searchFixedSize(vals, LecoFixCodec.costAt)

@@ -96,6 +96,41 @@ class LecoFormatSpec extends SparkSpec {
     assert(a.sameElements(b))
   }
 
+  test("a double column is rejected, naming the column and its type") {
+    import spark.implicits._
+    val df = Seq((1L, 1.5), (2L, 2.5)).toDF("k", "price")
+    val e = intercept[IllegalArgumentException] {
+      LecoWriter.write(df, s"$base/reject_double", Encoding.LecoFix)
+    }
+    assert(e.getMessage.contains("price") && e.getMessage.contains("double"), e.getMessage)
+  }
+
+  test("a null value fails the write, naming the column") {
+    import spark.implicits._
+    val df = Seq(Some(1L), None, Some(3L)).toDF("maybe")
+    val e = intercept[Exception] {
+      LecoWriter.write(df.coalesce(1), s"$base/reject_null", Encoding.For)
+    }
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.getMessage != null && c.getMessage.contains("column `maybe` holds a null")),
+           causes.map(_.toString).mkString(" <- "))
+  }
+
+  test("a rejected schema leaves an existing table directory intact") {
+    import spark.implicits._
+    val (dir, ts, _) = writeSample(Encoding.LecoFix, "keep")
+    val before = LecoTable.partFiles(dir).map(f => f.getName -> f.length()).toMap
+    intercept[IllegalArgumentException] {
+      LecoWriter.write(Seq(0.5, 1.5).toDF("ts"), dir, Encoding.LecoFix)
+    }
+    assert(LecoTable.partFiles(dir).map(f => f.getName -> f.length()).toMap == before)
+    val got = LecoTable.partFiles(dir).flatMap { f =>
+      val rd = new LecoFileReader(f)
+      (0 until rd.numGroups).flatMap(g => rd.readChunk(g, 0).decodeAll())
+    }
+    assert(got.sorted.sameElements(ts.sorted))
+  }
+
   test("LeCo files are smaller than FOR which are smaller than Default on sorted ts") {
     import spark.implicits._
     val n = 60_000
